@@ -31,13 +31,21 @@ vet:
 
 check: build vet test race topology-smoke lanes-smoke migration-smoke tune-smoke probe-smoke
 
-# Tier-1 performance snapshot: the event-engine microbenchmarks plus the
-# figure-level simulator benchmarks, with allocation counts, captured to a
-# per-commit JSON artifact (BENCH_<sha>.json) via cmd/benchjson. The raw
-# `go test -bench` text is tee'd so benchstat can diff two snapshots.
+# Tier-1 performance snapshot: the event-engine microbenchmarks (including
+# the event queue on the simulator's measured delay mix), the per-layer
+# microbenchmarks (L2 cache, DRAM channel, coalescer, TLB, page-table
+# translation) and the figure-level simulator benchmarks, with allocation
+# counts, captured to a per-commit JSON artifact (BENCH_<sha>.json) via
+# cmd/benchjson. The raw `go test -bench` text is tee'd so benchstat can
+# diff two snapshots.
 BENCH_SHA := $(shell git rev-parse --short HEAD)
 bench:
 	{ $(GO) test -bench 'BenchmarkEngine|BenchmarkLanedThroughput' -run - -benchmem ./internal/sim/ && \
+	  $(GO) test -bench 'BenchmarkLookupHit|BenchmarkLookupMissInsert' -run - -benchmem ./internal/cache/ && \
+	  $(GO) test -bench 'BenchmarkChannelAccess' -run - -benchmem ./internal/dram/ && \
+	  $(GO) test -bench 'BenchmarkCoalesce' -run - -benchmem ./internal/gpu/ && \
+	  $(GO) test -bench 'BenchmarkLookup$$' -run - -benchmem ./internal/tlb/ && \
+	  $(GO) test -bench 'BenchmarkTranslate' -run - -benchmem ./internal/vm/ && \
 	  $(GO) test -bench 'BenchmarkMigrationEpoch' -run - -benchmem ./internal/migrate/ && \
 	  $(GO) test -bench 'BenchmarkTuneSearch' -run - -benchmem -benchtime 1x ./internal/tune/ && \
 	  $(GO) test -bench 'BenchmarkSimulatorThroughput' -run - -benchmem . && \

@@ -54,7 +54,7 @@ func (a *Actor) At(t Time, h Handler, arg uint64) {
 	if t < e.now {
 		panic(fmt.Sprintf("sim: actor %d event scheduled at %d, before now=%d", a.id, t, e.now))
 	}
-	e.push(scheduled{at: t, src: a.id, seq: a.nextSeq(), dst: a, h: h, arg: arg})
+	e.push(t, a.id, a.nextSeq(), a, h, arg)
 }
 
 // After schedules h.OnEvent(arg) on the actor's own lane d cycles from now.
@@ -75,12 +75,12 @@ func (a *Actor) Send(dst *Actor, t Time, h Handler, arg uint64) {
 	if t < e.now {
 		panic(fmt.Sprintf("sim: actor %d send scheduled at %d, before now=%d", a.id, t, e.now))
 	}
-	it := scheduled{at: t, src: a.id, seq: a.nextSeq(), dst: dst, h: h, arg: arg}
+	seq := a.nextSeq()
 	if dst.eng == e || !w.parallel {
-		dst.eng.push(it)
+		dst.eng.push(t, a.id, seq, dst, h, arg)
 		return
 	}
-	e.out = append(e.out, it)
+	e.out = append(e.out, scheduled{at: t, src: a.id, seq: seq, dst: dst, h: h, arg: arg})
 }
 
 // SendAfter schedules h.OnEvent(arg) on dst's lane d cycles from now.
@@ -88,12 +88,13 @@ func (a *Actor) SendAfter(dst *Actor, d Time, h Handler, arg uint64) {
 	a.Send(dst, a.eng.now+d, h, arg)
 }
 
-// World partitions one simulation across n event lanes. Each lane owns a
-// heap and runs a conservative time window [W, W+lookahead) in parallel
-// with the others; at the window edge all lanes barrier, cross-lane
-// messages buffered in per-lane mailboxes are delivered (the heap order
-// restores the canonical (time, source, seq) sequence), window hooks run,
-// and the next window starts at the new global minimum pending time.
+// World partitions one simulation across n event lanes. Each lane owns an
+// event queue and runs a conservative time window [W, W+lookahead) in
+// parallel with the others; at the window edge all lanes barrier,
+// cross-lane messages buffered in per-lane mailboxes are delivered (the
+// queue order restores the canonical (time, source, seq) sequence), window
+// hooks run, and the next window starts at the new global minimum pending
+// time.
 // Because a cross-lane Send may never target the current window and actors
 // never share mutable state within a window, the observable schedule is
 // identical to the one-lane run for any lane count.
@@ -199,8 +200,8 @@ func (w *World) FillLaneFired(dst []uint64) {
 func (w *World) Front() Time {
 	front := Forever
 	for _, e := range w.lanes {
-		if len(e.events) > 0 && e.events[0].at < front {
-			front = e.events[0].at
+		if t := e.peek(); t < front {
+			front = t
 		}
 	}
 	return front
@@ -257,8 +258,8 @@ func (w *World) runSingle() Time {
 	e := w.lanes[0]
 	step := w.step()
 	w.runHooks()
-	for len(e.events) > 0 {
-		e.runWindow(e.events[0].at + step)
+	for e.Pending() > 0 {
+		e.runWindow(e.peek() + step)
 		w.runHooks()
 	}
 	return e.now
@@ -283,12 +284,7 @@ func (w *World) runParallel() Time {
 	for {
 		// The window start is the global minimum pending time, exactly as
 		// in the one-lane drain — the window grid is lane-count-invariant.
-		start := Forever
-		for _, e := range w.lanes {
-			if len(e.events) > 0 && e.events[0].at < start {
-				start = e.events[0].at
-			}
-		}
+		start := w.Front()
 		if start == Forever {
 			break
 		}
@@ -300,12 +296,12 @@ func (w *World) runParallel() Time {
 		wg.Wait()
 		// Deliver mailboxes. Every buffered send targets t >= wend (the
 		// lookahead check), so delivery order cannot matter for the window
-		// just drained; the destination heap restores canonical order.
+		// just drained; the destination queue restores canonical order.
 		for _, e := range w.lanes {
 			for i := range e.out {
-				it := e.out[i]
-				e.out[i] = scheduled{}
-				it.dst.eng.push(it)
+				it := &e.out[i]
+				it.dst.eng.push(it.at, it.src, it.seq, it.dst, it.h, it.arg)
+				*it = scheduled{}
 			}
 			e.out = e.out[:0]
 		}

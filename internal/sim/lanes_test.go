@@ -144,8 +144,9 @@ func TestSelfSendIgnoresLookahead(t *testing.T) {
 }
 
 // TestBatchPopFeedback: handlers that schedule more events at the current
-// timestamp still fire in exact canonical order — the batch drain re-merges
-// heap arrivals that order before buffered items.
+// timestamp (same-cycle feedback into the cycle being drained) still fire
+// in exact canonical order, after every event already queued for the cycle
+// by the same source.
 func TestBatchPopFeedback(t *testing.T) {
 	e := New()
 	var got []int
@@ -154,8 +155,8 @@ func TestBatchPopFeedback(t *testing.T) {
 		e.At(100, func() {
 			got = append(got, i)
 			if i < 4 {
-				// Same-timestamp follow-up: must fire after every event
-				// batched before it, in its own scheduling order.
+				// Same-timestamp follow-up from the root context: its seq
+				// orders it after every root event already queued.
 				e.At(100, func() { got = append(got, 100+i) })
 			}
 		})
@@ -163,12 +164,12 @@ func TestBatchPopFeedback(t *testing.T) {
 	e.Run()
 	want := []int{0, 1, 2, 3, 4, 5, 6, 7, 100, 101, 102, 103}
 	if !reflect.DeepEqual(got, want) {
-		t.Fatalf("batched same-timestamp order = %v, want %v", got, want)
+		t.Fatalf("same-timestamp feedback order = %v, want %v", got, want)
 	}
 }
 
-// BenchmarkEngineBatch measures the same-timestamp batch pop: many events
-// collapse onto shared timestamps, the common shape in SM issue bursts.
+// BenchmarkEngineBatch measures same-timestamp bursts: many events collapse
+// onto shared timestamps, the common shape in SM issue bursts.
 func BenchmarkEngineBatch(b *testing.B) {
 	const fanout = 64
 	e := New()
