@@ -33,15 +33,15 @@ check: build vet test race topology-smoke lanes-smoke migration-smoke tune-smoke
 
 # Tier-1 performance snapshot: the event-engine microbenchmarks (including
 # the event queue on the simulator's measured delay mix), the per-layer
-# microbenchmarks (L2 cache, DRAM channel, coalescer, TLB, page-table
-# translation) and the figure-level simulator benchmarks, with allocation
-# counts, captured to a per-commit JSON artifact (BENCH_<sha>.json) via
-# cmd/benchjson. The raw `go test -bench` text is tee'd so benchstat can
+# microbenchmarks (L2 cache, MSHR stall drain, DRAM channel, coalescer,
+# TLB, page-table translation) and the figure-level simulator benchmarks,
+# with allocation counts, captured to a per-commit JSON artifact
+# (BENCH_<sha>.json) via cmd/benchjson. The raw `go test -bench` text is tee'd so benchstat can
 # diff two snapshots.
 BENCH_SHA := $(shell git rev-parse --short HEAD)
 bench:
 	{ $(GO) test -bench 'BenchmarkEngine|BenchmarkLanedThroughput' -run - -benchmem ./internal/sim/ && \
-	  $(GO) test -bench 'BenchmarkLookupHit|BenchmarkLookupMissInsert' -run - -benchmem ./internal/cache/ && \
+	  $(GO) test -bench 'BenchmarkLookupHit|BenchmarkLookupMissInsert|BenchmarkMSHRStallDrain' -run - -benchmem ./internal/cache/ && \
 	  $(GO) test -bench 'BenchmarkChannelAccess' -run - -benchmem ./internal/dram/ && \
 	  $(GO) test -bench 'BenchmarkCoalesce' -run - -benchmem ./internal/gpu/ && \
 	  $(GO) test -bench 'BenchmarkLookup$$' -run - -benchmem ./internal/tlb/ && \

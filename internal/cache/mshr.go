@@ -28,10 +28,15 @@ type MSHR struct {
 	index map[uint64]int32
 	// slots[:used] are live entries. Freed slots keep their waiter slice
 	// backing arrays, so re-allocation appends into recycled storage.
-	slots   []mshrEntry
-	used    int
-	scratch []FillWaiter // reused waiter snapshot during Fill
+	slots []mshrEntry
+	used  int
+	// spare is a waiter array owned by no slot. Fill swaps it into the
+	// freed slot and walks the filled line's own array, which then becomes
+	// the next spare.
+	spare []FillWaiter
+	// stalled[head:] is the FIFO of requests waiting for a free entry.
 	stalled []stalledReq
+	head    int
 	stats   MSHRStats
 }
 
@@ -93,7 +98,7 @@ func (m *MSHR) Used() int { return m.used }
 
 // Stalled reports how many requests are currently queued on a full file —
 // the instantaneous backpressure depth, read by flight-recorder probes.
-func (m *MSHR) Stalled() int { return len(m.stalled) }
+func (m *MSHR) Stalled() int { return len(m.stalled) - m.head }
 
 // Stats returns a copy of the counters.
 func (m *MSHR) Stats() MSHRStats { return m.stats }
@@ -153,15 +158,19 @@ func (m *MSHR) Allocate(line uint64, w FillWaiter) Outcome {
 // should re-attempt the whole access (the line may have been filled or
 // evicted meanwhile).
 func (m *MSHR) Stall(line uint64, retry Retrier) {
+	if len(m.stalled) == cap(m.stalled) && m.head > 0 {
+		// Move the live tail down rather than grow, so a queue that never
+		// drains stays bounded by its peak depth.
+		n := copy(m.stalled, m.stalled[m.head:])
+		clear(m.stalled[n:])
+		m.stalled, m.head = m.stalled[:n], 0
+	}
 	m.stalled = append(m.stalled, stalledReq{line: line, retry: retry})
 }
 
-// StallDepth reports how many requests are queued waiting for an entry.
-func (m *MSHR) StallDepth() int { return len(m.stalled) }
-
 // Fill completes the outstanding fill for line at time t: all merged
-// waiters are notified in registration order, the entry frees, and one
-// stalled request (if any) is retried. Waiter callbacks may re-enter
+// waiters are notified in registration order, the entry frees, and
+// stalled requests are retried in Stall order while entries are free. Waiter callbacks may re-enter
 // Allocate (a retried access, a scheduled follow-up), but not Fill itself.
 func (m *MSHR) Fill(line uint64, t sim.Time) {
 	i, ok := m.index[line]
@@ -170,20 +179,20 @@ func (m *MSHR) Fill(line uint64, t sim.Time) {
 	}
 	// Free the entry before notifying, matching the semantics waiters
 	// observe: a re-entrant Allocate for this line opens a fresh fill.
-	// Waiters are snapshotted into scratch so the slot's recycled backing
-	// array cannot be clobbered by such a re-entrant Allocate mid-walk.
+	// The freed slot takes the spare array, so such an Allocate appends
+	// there and cannot clobber the waiter array being walked.
 	delete(m.index, line)
 	m.used--
 	w := m.slots[i].waiters
-	m.scratch = append(m.scratch[:0], w...)
 	if int(i) != m.used {
 		m.slots[i] = m.slots[m.used]
 		m.index[m.slots[i].line] = i
 	}
-	m.slots[m.used] = mshrEntry{waiters: w[:0]}
-	for _, fw := range m.scratch {
+	m.slots[m.used] = mshrEntry{waiters: m.spare[:0]}
+	for _, fw := range w {
 		fw.OnFill(t)
 	}
+	m.spare = w[:0]
 	// Wake stalled requests in FIFO order while entries are free. Waking
 	// exactly one per freed entry is not enough: a woken retry that hits
 	// in the L2 (the fill just inserted its line) or merges into another
@@ -194,11 +203,13 @@ func (m *MSHR) Fill(line uint64, t sim.Time) {
 	// the queue drains) closes that hole while preserving the structural
 	// hazard: used never exceeds capacity, because a retry can only
 	// re-stall when Allocate reports Full, which ends the loop.
-	for len(m.stalled) > 0 && m.used < m.capacity {
-		next := m.stalled[0]
-		copy(m.stalled, m.stalled[1:])
-		m.stalled[len(m.stalled)-1] = stalledReq{}
-		m.stalled = m.stalled[:len(m.stalled)-1]
+	for m.head < len(m.stalled) && m.used < m.capacity {
+		next := m.stalled[m.head]
+		m.stalled[m.head] = stalledReq{}
+		m.head++
 		next.retry.Retry()
+	}
+	if m.head == len(m.stalled) {
+		m.stalled, m.head = m.stalled[:0], 0
 	}
 }

@@ -1,6 +1,7 @@
 package cache
 
 import (
+	"strings"
 	"testing"
 	"testing/quick"
 
@@ -59,15 +60,15 @@ func TestMSHRStallRetryOnFill(t *testing.T) {
 	}
 	m.Stall(2, realloc)
 	m.Stall(3, realloc)
-	if m.StallDepth() != 2 {
-		t.Fatalf("StallDepth = %d, want 2", m.StallDepth())
+	if m.Stalled() != 2 {
+		t.Fatalf("Stalled = %d, want 2", m.Stalled())
 	}
 	m.Fill(1, 50)
 	if retried != 1 {
 		t.Fatalf("retried %d requests after one Fill, want exactly 1", retried)
 	}
-	if m.StallDepth() != 1 {
-		t.Fatalf("StallDepth = %d after one Fill, want 1", m.StallDepth())
+	if m.Stalled() != 1 {
+		t.Fatalf("Stalled = %d after one Fill, want 1", m.Stalled())
 	}
 	if m.Used() != 1 {
 		t.Fatalf("Used = %d after retry re-allocated, want 1", m.Used())
@@ -91,8 +92,8 @@ func TestMSHRStallNoStarvation(t *testing.T) {
 	if retried != 3 {
 		t.Fatalf("retried %d requests after the last Fill, want all 3", retried)
 	}
-	if m.StallDepth() != 0 {
-		t.Fatalf("StallDepth = %d after the last Fill, want 0 (no stranded requests)", m.StallDepth())
+	if m.Stalled() != 0 {
+		t.Fatalf("Stalled = %d after the last Fill, want 0 (no stranded requests)", m.Stalled())
 	}
 }
 
@@ -207,8 +208,82 @@ func TestMSHRSlotRecycling(t *testing.T) {
 	}
 }
 
-// TestMSHRSteadyStateAllocFree: after warm-up, Allocate/Fill cycles with a
-// long-lived waiter perform no allocations.
+// TestMSHRStallFIFO: stalled retries fire in Stall order, across one Fill
+// that wakes several and across fills that wake one each, and a retry
+// that stalls again joins the back of the queue.
+func TestMSHRStallFIFO(t *testing.T) {
+	m := NewMSHR(1)
+	m.Allocate(1, FillFunc(func(sim.Time) {}))
+	var order []string
+	var restall RetryFunc
+	restall = func() {
+		order = append(order, "A")
+		if len(order) == 1 {
+			m.Stall(10, restall)
+		}
+	}
+	m.Stall(10, restall)
+	for _, name := range []string{"B", "C", "D"} {
+		m.Stall(11, RetryFunc(func() { order = append(order, name) }))
+	}
+	m.Fill(1, 5) // none re-allocates: the whole queue drains
+	if got, want := strings.Join(order, ""), "ABCDA"; got != want {
+		t.Fatalf("retry order %q, want %q", got, want)
+	}
+
+	order = order[:0]
+	m.Allocate(1, FillFunc(func(sim.Time) {}))
+	for i, name := range []string{"E", "F", "G"} {
+		m.Stall(uint64(20+i), RetryFunc(func() {
+			order = append(order, name)
+			m.Allocate(uint64(20+i), FillFunc(func(sim.Time) {}))
+		}))
+	}
+	for _, line := range []uint64{1, 20, 21, 22} {
+		m.Fill(line, 6) // each Fill frees one entry and wakes one retry
+	}
+	if got, want := strings.Join(order, ""), "EFG"; got != want {
+		t.Fatalf("retry order %q across fills, want %q", got, want)
+	}
+}
+
+// TestMSHRStandingQueueBounded: a stall queue that never drains (one
+// request joins for every one woken) must not grow its backing array with
+// the number of wakes; it stays within twice its peak depth.
+func TestMSHRStandingQueueBounded(t *testing.T) {
+	const depth, cycles = 100, 100_000
+	m := NewMSHR(1)
+	inflight := uint64(0)
+	m.Allocate(inflight, FillFunc(func(sim.Time) {}))
+	next := uint64(1)
+	retry := func(line uint64) Retrier {
+		return RetryFunc(func() {
+			m.Allocate(line, FillFunc(func(sim.Time) {}))
+			inflight = line
+		})
+	}
+	peak := 0
+	for i := 0; i < cycles; i++ {
+		for m.Stalled() < depth {
+			m.Stall(next, retry(next))
+			next++
+		}
+		peak = max(peak, m.Stalled())
+		m.Fill(inflight, sim.Time(i))
+	}
+	if m.Stalled() != depth-1 {
+		t.Fatalf("Stalled = %d, want %d", m.Stalled(), depth-1)
+	}
+	if c := cap(m.stalled); c > 2*peak {
+		t.Fatalf("stall queue capacity %d after %d wakes, want <= %d (2x peak depth %d)", c, cycles, 2*peak, peak)
+	}
+}
+
+// TestMSHRSteadyStateAllocFree: after warm-up, Allocate/Fill cycles with
+// long-lived waiters perform no allocations, also with requests stalled on
+// a full file and with a waiter that re-allocates and merges into its own
+// line mid-Fill. The per-generation counters prove that re-entrant
+// Allocate cannot clobber the waiter list being walked.
 func TestMSHRSteadyStateAllocFree(t *testing.T) {
 	m := NewMSHR(16)
 	var sink sim.Time
@@ -229,6 +304,72 @@ func TestMSHRSteadyStateAllocFree(t *testing.T) {
 	})
 	if avg != 0 {
 		t.Fatalf("steady-state MSHR cycle allocates %.1f objects, want 0", avg)
+	}
+
+	// Stalled requests in flight: a 2-entry file holding lines 1 and 2,
+	// two retries queued behind it, and a line-1 waiter that re-opens
+	// line 1 (Allocate, then a merged Allocate) from inside its Fill.
+	m = NewMSHR(2)
+	var first, second, retried int
+	firstGen := FillFunc(func(sim.Time) { first++ })
+	secondGen := FillFunc(func(sim.Time) { second++ })
+	reopen := FillFunc(func(sim.Time) {
+		m.Allocate(1, secondGen)
+		m.Allocate(1, secondGen)
+	})
+	retryA := RetryFunc(func() { retried++; m.Allocate(3, w) })
+	retryB := RetryFunc(func() { retried++; m.Allocate(4, w) })
+	runs := 0
+	avg = testing.AllocsPerRun(500, func() {
+		runs++
+		m.Allocate(1, reopen)
+		m.Allocate(1, firstGen)
+		m.Allocate(2, w)
+		m.Stall(3, retryA)
+		m.Stall(4, retryB)
+		m.Fill(1, 3) // re-opens line 1: the file stays full
+		m.Fill(2, 3) // wakes retryA
+		m.Fill(1, 4) // wakes retryB
+		m.Fill(3, 4)
+		m.Fill(4, 4)
+	})
+	if avg != 0 {
+		t.Fatalf("MSHR cycle with stalled requests allocates %.1f objects, want 0", avg)
+	}
+	if first != runs || second != 2*runs || retried != 2*runs {
+		t.Fatalf("after %d cycles: first-generation fills %d, second %d, retries %d; want %d, %d, %d",
+			runs, first, second, retried, runs, 2*runs, 2*runs)
+	}
+	if m.Used() != 0 || m.Stalled() != 0 {
+		t.Fatalf("Used = %d, Stalled = %d after the cycles, want 0, 0", m.Used(), m.Stalled())
+	}
+	_ = sink
+}
+
+// BenchmarkMSHRStallDrain measures a 128-entry file under sustained
+// backpressure: each op fills the file, queues 4096 retries behind it and
+// drains them, one wake (and re-allocation) per fill.
+func BenchmarkMSHRStallDrain(b *testing.B) {
+	const entries, stalled = 128, 4096
+	m := NewMSHR(entries)
+	var sink sim.Time
+	w := FillFunc(func(t sim.Time) { sink = t })
+	retries := make([]Retrier, entries+stalled)
+	for i := range retries {
+		line := uint64(i)
+		retries[i] = RetryFunc(func() { m.Allocate(line, w) })
+	}
+	b.ReportAllocs()
+	for i := 0; i < b.N; i++ {
+		for line := uint64(0); line < entries; line++ {
+			m.Allocate(line, w)
+		}
+		for line := entries; line < entries+stalled; line++ {
+			m.Stall(uint64(line), retries[line])
+		}
+		for line := uint64(0); line < entries+stalled; line++ {
+			m.Fill(line, sim.Time(i))
+		}
 	}
 	_ = sink
 }

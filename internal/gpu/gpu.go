@@ -45,6 +45,11 @@ type Phase struct {
 
 // WarpProgram yields the phases a warp executes. Implementations are
 // single-warp state machines; NextPhase is called once per phase.
+//
+// The returned Phase.Addrs belongs to the program and is valid only until
+// the next NextPhase call, so a program may reuse one buffer for every
+// phase. The GPU calls NextPhase only after every access of the current
+// phase has completed.
 type WarpProgram interface {
 	NextPhase() (Phase, bool)
 }

@@ -346,3 +346,83 @@ func TestConfigValidatesTLB(t *testing.T) {
 		t.Fatal("invalid TLB config accepted")
 	}
 }
+
+// reusingProgram yields the same phases as a listProgram, but through one
+// Addrs buffer that it poisons and overwrites on every NextPhase call, as
+// the WarpProgram contract allows.
+type reusingProgram struct {
+	listProgram
+	buf []Access
+}
+
+func (p *reusingProgram) NextPhase() (Phase, bool) {
+	ph, ok := p.listProgram.NextPhase()
+	for i := range p.buf {
+		p.buf[i] = Access{VA: 1 << 40, Write: true}
+	}
+	p.buf = append(p.buf[:0], ph.Addrs...)
+	ph.Addrs = p.buf
+	return ph, ok
+}
+
+// recordingMem is fakeMem that also logs every access it sees.
+type recordingMem struct {
+	fakeMem
+	log []Access
+}
+
+func (m *recordingMem) Access(va uint64, write bool, done func()) {
+	m.log = append(m.log, Access{VA: va, Write: write})
+	m.fakeMem.Access(va, write, done)
+}
+
+// TestProgramBufferReuse: a program that reuses (and clobbers) its Addrs
+// buffer on every NextPhase call must drive exactly the run a program
+// with fresh slices drives: the GPU reads a phase's addresses only until
+// it asks for the next phase.
+func TestProgramBufferReuse(t *testing.T) {
+	phases := func(warp int) []Phase {
+		ph := make([]Phase, 6)
+		for i := range ph {
+			addrs := make([]Access, 1+(warp+i)%5)
+			for j := range addrs {
+				addrs[j] = Access{VA: uint64((warp*3+i*5+j*7)%23) * 1024, Write: (warp+i+j)%4 == 0}
+			}
+			ph[i] = Phase{ComputeCycles: sim.Time(i % 3 * 7), Addrs: addrs, MLP: i % 3, Overlap: i%2 == 1}
+		}
+		return ph
+	}
+	run := func(reuse bool) (sim.Time, Stats, []Access) {
+		eng := sim.New()
+		mem := &recordingMem{fakeMem: fakeMem{eng: eng, latency: 37}}
+		cfg := smallConfig()
+		cfg.TLB = &tlb.Config{Entries: 2, WalkLatencyCycles: 50}
+		g := New(eng, mem, cfg)
+		progs := make([]WarpProgram, 12) // more warps than contexts
+		for w := range progs {
+			if reuse {
+				progs[w] = &reusingProgram{listProgram: listProgram{phases: phases(w)}}
+			} else {
+				progs[w] = &listProgram{phases: phases(w)}
+			}
+		}
+		g.Launch(progs)
+		return g.Run(), g.Stats(), mem.log
+	}
+	end1, st1, log1 := run(false)
+	end2, st2, log2 := run(true)
+	if st1.Phases != 12*6 || st1.TLBMisses == 0 || st1.TLBHits == 0 || st1.L1Hits == 0 {
+		t.Fatalf("fresh-slice run too degenerate to compare: %+v", st1)
+	}
+	if end1 != end2 || st1 != st2 {
+		t.Fatalf("reusing program: end %d, stats %+v; fresh slices: end %d, stats %+v", end2, st2, end1, st1)
+	}
+	if len(log1) != len(log2) {
+		t.Fatalf("reusing program issued %d accesses, fresh slices %d", len(log2), len(log1))
+	}
+	for i := range log1 {
+		if log1[i] != log2[i] {
+			t.Fatalf("access %d: reusing program %+v, fresh slices %+v", i, log2[i], log1[i])
+		}
+	}
+}

@@ -74,6 +74,7 @@ type replayProgram struct {
 	events []Event
 	cfg    ReplayConfig
 	pos    int
+	addrs  []gpu.Access // Phase.Addrs buffer, reused every phase
 }
 
 // NextPhase implements gpu.WarpProgram.
@@ -85,14 +86,14 @@ func (p *replayProgram) NextPhase() (gpu.Phase, bool) {
 	if end > len(p.events) {
 		end = len(p.events)
 	}
-	addrs := make([]gpu.Access, 0, end-p.pos)
+	p.addrs = p.addrs[:0]
 	for _, e := range p.events[p.pos:end] {
-		addrs = append(addrs, gpu.Access{VA: e.VA, Write: e.Write})
+		p.addrs = append(p.addrs, gpu.Access{VA: e.VA, Write: e.Write})
 	}
 	p.pos = end
 	return gpu.Phase{
 		ComputeCycles: p.cfg.ComputeCycles,
-		Addrs:         addrs,
+		Addrs:         p.addrs,
 		MLP:           p.cfg.MLP,
 	}, true
 }

@@ -12,6 +12,7 @@ package vm
 import (
 	"errors"
 	"fmt"
+	"slices"
 )
 
 // DefaultPageSize is the paper's 4 kB page granularity.
@@ -182,20 +183,18 @@ func (s *Space) MapPage(vpage uint64, z ZoneID) error {
 	return nil
 }
 
+// grow extends the page table to cover vpage. Capacity grows
+// geometrically, so first-touching N rising pages copies O(N) entries; the
+// length stays exactly vpage+1, since TableSpan and the bounds checks read
+// it. The table never shrinks, so slots between len and cap are still zero.
 func (s *Space) grow(vpage uint64) {
 	need := int(vpage) + 1
 	if need <= len(s.table) {
 		return
 	}
-	nt := make([]uint64, need)
-	copy(nt, s.table)
-	s.table = nt
-	nz := make([]ZoneID, need)
-	copy(nz, s.zoneOf)
-	s.zoneOf = nz
-	nm := make([]bool, need)
-	copy(nm, s.mapped)
-	s.mapped = nm
+	s.table = slices.Grow(s.table, need-len(s.table))[:need]
+	s.zoneOf = slices.Grow(s.zoneOf, need-len(s.zoneOf))[:need]
+	s.mapped = slices.Grow(s.mapped, need-len(s.mapped))[:need]
 }
 
 // Translate maps a virtual address to its physical address. ok is false for

@@ -2,6 +2,7 @@ package vm
 
 import (
 	"errors"
+	"math/bits"
 	"testing"
 	"testing/quick"
 )
@@ -287,5 +288,67 @@ func TestTranslateCached(t *testing.T) {
 	// Unmapped lookups must not poison the cache.
 	if _, ok := s.TranslateCached(&tc, 100*DefaultPageSize); ok {
 		t.Fatal("TranslateCached hit a never-mapped page")
+	}
+}
+
+// TestGrowAmortised: first-touching N rising pages, directly or through
+// deferred mapping with a FlushPending per page (one new page per window
+// barrier), allocates O(log N) times, and the table's visible extent is
+// exactly the mapped span: pages at and beyond TableSpan stay unmapped
+// even where the backing arrays have spare capacity.
+func TestGrowAmortised(t *testing.T) {
+	for _, deferred := range []bool{false, true} {
+		for _, n := range []int{1 << 10, 1 << 14} {
+			var s *Space
+			allocs := testing.AllocsPerRun(1, func() {
+				s = twoZone(Unlimited, Unlimited)
+				s.SetDeferred(deferred)
+				for v := 0; v < n; v++ {
+					if err := s.MapPage(uint64(v), ZoneID(v%2)); err != nil {
+						t.Fatal(err)
+					}
+					s.FlushPending()
+				}
+			})
+			if limit := 8 * float64(bits.Len(uint(n))); allocs > limit {
+				t.Errorf("deferred=%v: mapping %d pages made %.0f allocations, want <= %.0f", deferred, n, allocs, limit)
+			}
+			if got := s.TableSpan(); got != uint64(n) {
+				t.Fatalf("deferred=%v: TableSpan = %d, want %d", deferred, got, n)
+			}
+			last := uint64(n-1) * DefaultPageSize
+			if pa, ok := s.Translate(last + 5); !ok || ZoneOfPA(pa) != ZoneID((n-1)%2) || pa&(DefaultPageSize-1) != 5 {
+				t.Fatalf("deferred=%v: Translate(last page) = %#x, %v", deferred, pa, ok)
+			}
+			beyond := []uint64{uint64(n), uint64(cap(s.table)), 4 * uint64(n)}
+			if c := uint64(cap(s.table)); c > uint64(n) {
+				beyond = append(beyond, c-1) // spare capacity, not span
+			}
+			for _, v := range beyond {
+				if _, ok := s.Translate(v * DefaultPageSize); ok {
+					t.Fatalf("deferred=%v: vpage %d beyond span %d translates", deferred, v, n)
+				}
+				if s.MappedOrPending(v) {
+					t.Fatalf("deferred=%v: vpage %d beyond span %d reported mapped", deferred, v, n)
+				}
+				if _, ok := s.PageZone(v); ok {
+					t.Fatalf("deferred=%v: vpage %d beyond span %d has a zone", deferred, v, n)
+				}
+			}
+			// A page mapped past the span extends it; the gap stays unmapped.
+			if err := s.MapPage(uint64(n)+10, ZoneBO); err != nil {
+				t.Fatal(err)
+			}
+			s.FlushPending()
+			if got := s.TableSpan(); got != uint64(n)+11 {
+				t.Fatalf("deferred=%v: TableSpan = %d after a sparse map, want %d", deferred, got, n+11)
+			}
+			if s.MappedOrPending(uint64(n)+9) || !s.MappedOrPending(uint64(n)+10) {
+				t.Fatalf("deferred=%v: gap page mapped or sparse page unmapped", deferred)
+			}
+			if s.MappedPages() != n+1 {
+				t.Fatalf("deferred=%v: MappedPages = %d, want %d", deferred, s.MappedPages(), n+1)
+			}
+		}
 	}
 }

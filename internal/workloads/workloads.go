@@ -213,7 +213,8 @@ type warpProgram struct {
 	rng      *rand.Rand
 	warpID   int
 	phase    int
-	gens     []offsetGen // per structure
+	gens     []offsetGen  // per structure
+	addrs    []gpu.Access // Phase.Addrs buffer, reused every phase
 }
 
 func newWarpProgram(s *Spec, allocs []gpurt.Allocation, cum []float64, warpID int) *warpProgram {
@@ -235,7 +236,10 @@ func (w *warpProgram) NextPhase() (gpu.Phase, bool) {
 	if w.spec.WeightDrift > 0 {
 		w.updateDriftedWeights()
 	}
-	addrs := make([]gpu.Access, w.spec.AccessesPerPhase)
+	if cap(w.addrs) < w.spec.AccessesPerPhase {
+		w.addrs = make([]gpu.Access, w.spec.AccessesPerPhase)
+	}
+	addrs := w.addrs[:w.spec.AccessesPerPhase]
 	for i := range addrs {
 		si := w.pickStructure()
 		st := &w.spec.Structures[si]
