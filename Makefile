@@ -34,7 +34,8 @@ check: build vet test race topology-smoke lanes-smoke migration-smoke tune-smoke
 # Tier-1 performance snapshot: the event-engine microbenchmarks (including
 # the event queue on the simulator's measured delay mix), the per-layer
 # microbenchmarks (L2 cache, MSHR stall drain, DRAM channel, coalescer,
-# TLB, page-table translation) and the figure-level simulator benchmarks,
+# TLB, page-table translation, per-warp RNG seeding and warp-program
+# generation) and the figure-level simulator benchmarks,
 # with allocation counts, captured to a per-commit JSON artifact
 # (BENCH_<sha>.json) via cmd/benchjson. The raw `go test -bench` text is tee'd so benchstat can
 # diff two snapshots.
@@ -44,6 +45,7 @@ bench:
 	  $(GO) test -bench 'BenchmarkLookupHit|BenchmarkLookupMissInsert|BenchmarkMSHRStallDrain' -run - -benchmem ./internal/cache/ && \
 	  $(GO) test -bench 'BenchmarkChannelAccess' -run - -benchmem ./internal/dram/ && \
 	  $(GO) test -bench 'BenchmarkCoalesce' -run - -benchmem ./internal/gpu/ && \
+	  $(GO) test -bench 'BenchmarkSourceSeed|BenchmarkWarpPrograms' -run - -benchmem ./internal/workloads/ && \
 	  $(GO) test -bench 'BenchmarkLookup$$' -run - -benchmem ./internal/tlb/ && \
 	  $(GO) test -bench 'BenchmarkTranslate' -run - -benchmem ./internal/vm/ && \
 	  $(GO) test -bench 'BenchmarkMigrationEpoch' -run - -benchmem ./internal/migrate/ && \

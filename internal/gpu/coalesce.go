@@ -1,6 +1,9 @@
 package gpu
 
-import "sort"
+import (
+	"cmp"
+	"slices"
+)
 
 // Coalesce merges the per-lane byte addresses of one warp memory
 // instruction into the minimal set of line-sized transactions, exactly as
@@ -15,19 +18,20 @@ func Coalesce(laneAddrs []uint64, lineBytes uint64) []uint64 {
 	if len(laneAddrs) == 0 {
 		return nil
 	}
+	return AppendCoalesced(make([]uint64, 0, len(laneAddrs)), laneAddrs, lineBytes)
+}
+
+// AppendCoalesced appends the transactions Coalesce returns for laneAddrs
+// to dst and returns the extended slice, so a caller coalescing
+// instruction after instruction can reuse one buffer.
+func AppendCoalesced(dst, laneAddrs []uint64, lineBytes uint64) []uint64 {
+	n := len(dst)
 	mask := ^(lineBytes - 1)
-	lines := make([]uint64, 0, len(laneAddrs))
 	for _, a := range laneAddrs {
-		lines = append(lines, a&mask)
+		dst = append(dst, a&mask)
 	}
-	sort.Slice(lines, func(i, j int) bool { return lines[i] < lines[j] })
-	out := lines[:1]
-	for _, l := range lines[1:] {
-		if l != out[len(out)-1] {
-			out = append(out, l)
-		}
-	}
-	return out
+	slices.Sort(dst[n:])
+	return dst[:n+len(slices.Compact(dst[n:]))]
 }
 
 // CoalesceAccesses is Coalesce for Access values: the write flag of a
@@ -54,6 +58,6 @@ func CoalesceAccesses(lanes []Access, lineBytes uint64) []Access {
 	for _, info := range byLine {
 		out = append(out, Access{VA: info.addr, Write: info.write})
 	}
-	sort.Slice(out, func(i, j int) bool { return out[i].VA < out[j].VA })
+	slices.SortFunc(out, func(a, b Access) int { return cmp.Compare(a.VA, b.VA) })
 	return out
 }

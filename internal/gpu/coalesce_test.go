@@ -2,6 +2,7 @@ package gpu
 
 import (
 	"math/rand"
+	"slices"
 	"testing"
 	"testing/quick"
 )
@@ -53,6 +54,23 @@ func TestCoalesceEmpty(t *testing.T) {
 	}
 	if got := CoalesceAccesses(nil, 128); got != nil {
 		t.Fatalf("CoalesceAccesses(nil) = %v", got)
+	}
+}
+
+func TestAppendCoalesced(t *testing.T) {
+	lanes := []uint64{0x2010, 0x1000, 0x2000, 0x1070, 0x3000}
+	buf := make([]uint64, 1, 8)
+	buf[0] = 7
+	var got []uint64
+	if allocs := testing.AllocsPerRun(10, func() { got = AppendCoalesced(buf[:1], lanes, 128) }); allocs != 0 {
+		t.Fatalf("AppendCoalesced into a large enough buffer: %v allocs, want 0", allocs)
+	}
+	want := []uint64{7, 0x1000, 0x2000, 0x3000}
+	if !slices.Equal(got, want) {
+		t.Fatalf("AppendCoalesced = %#x, want %#x", got, want)
+	}
+	if lanes[0] != 0x2010 || lanes[1] != 0x1000 {
+		t.Fatal("AppendCoalesced modified its input")
 	}
 }
 

@@ -59,6 +59,9 @@ type ZoneConfig struct {
 type zoneState struct {
 	cfg  ZoneConfig
 	next uint64 // bump allocator: next free physical page index
+	// full is the ErrZoneFull a finite zone returns, built once: placers
+	// try full zones on every fallback, so it must not allocate per attempt.
+	full error
 }
 
 // Space is one process's address space over a set of zones. The zero value
@@ -107,6 +110,9 @@ func NewSpace(pageSize uint64, zones []ZoneConfig) *Space {
 			panic(fmt.Sprintf("vm: zone %q capacity %d negative", z.Name, z.CapacityPages))
 		}
 		zs[i] = zoneState{cfg: z}
+		if z.CapacityPages != Unlimited {
+			zs[i].full = fmt.Errorf("%w: %s (%d pages)", ErrZoneFull, z.Name, z.CapacityPages)
+		}
 	}
 	shift := uint(0)
 	for s := pageSize; s > 1; s >>= 1 {

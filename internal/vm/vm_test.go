@@ -88,6 +88,39 @@ func TestZoneFull(t *testing.T) {
 	}
 }
 
+// A placer falls back past a full zone on every first touch once it fills,
+// so a failed MapPage or Remap must not allocate.
+func TestZoneFullAllocFree(t *testing.T) {
+	s := twoZone(2, 1)
+	for vp := uint64(0); vp < 2; vp++ {
+		if err := s.MapPage(vp, ZoneBO); err != nil {
+			t.Fatal(err)
+		}
+	}
+	if err := s.MapPage(2, ZoneCO); err != nil {
+		t.Fatal(err)
+	}
+	var mapErr, remapErr error
+	allocs := testing.AllocsPerRun(100, func() {
+		mapErr = s.MapPage(3, ZoneBO)
+		_, _, remapErr = s.Remap(0, ZoneCO)
+	})
+	if allocs != 0 {
+		t.Fatalf("failed placement into a full zone: %v allocs/run, want 0", allocs)
+	}
+	for _, c := range []struct {
+		err  error
+		want string
+	}{
+		{mapErr, "vm: zone full: BO (2 pages)"},
+		{remapErr, "vm: zone full: CO (1 pages)"},
+	} {
+		if !errors.Is(c.err, ErrZoneFull) || c.err.Error() != c.want {
+			t.Fatalf("err = %v, want %q wrapping ErrZoneFull", c.err, c.want)
+		}
+	}
+}
+
 func TestDoubleMap(t *testing.T) {
 	s := twoZone(10, 10)
 	if err := s.MapPage(3, ZoneBO); err != nil {

@@ -195,19 +195,24 @@ func (g *zipfGen) next(rng *rand.Rand) uint64 {
 // random lane addresses, coalesces them with the GPU's coalescing rule,
 // and then deals the resulting transactions out one next() at a time.
 type gatherGen struct {
-	lines   uint64
-	lanes   int
-	pending []uint64
+	lines     uint64
+	lanes     int
+	laneAddrs []uint64 // lane-address buffer, reused every instruction
+	buf       []uint64 // coalesced transactions, reused every instruction
+	pending   []uint64 // the part of buf not yet dealt out
 }
 
 func (g *gatherGen) next(rng *rand.Rand) uint64 {
 	if len(g.pending) == 0 {
-		laneAddrs := make([]uint64, g.lanes)
-		span := int64(g.lines * LineBytes)
-		for i := range laneAddrs {
-			laneAddrs[i] = uint64(rng.Int63n(span))
+		if g.laneAddrs == nil {
+			g.laneAddrs = make([]uint64, g.lanes)
 		}
-		g.pending = gpu.Coalesce(laneAddrs, LineBytes)
+		span := int64(g.lines * LineBytes)
+		for i := range g.laneAddrs {
+			g.laneAddrs[i] = uint64(rng.Int63n(span))
+		}
+		g.buf = gpu.AppendCoalesced(g.buf[:0], g.laneAddrs, LineBytes)
+		g.pending = g.buf
 	}
 	off := g.pending[0]
 	g.pending = g.pending[1:]

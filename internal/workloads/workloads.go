@@ -185,9 +185,14 @@ func (s *Spec) Programs(allocs []gpurt.Allocation) []gpu.WarpProgram {
 	cum := cumulativeWeights(s.Structures)
 	progs := make([]gpu.WarpProgram, s.Warps)
 	for w := 0; w < s.Warps; w++ {
-		progs[w] = newWarpProgram(s, allocs, cum, w)
+		progs[w] = newWarpProgram(s, allocs, cum, w, rand.New(newWarpSource(s.warpSeed(w))))
 	}
 	return progs
+}
+
+// warpSeed is the seed of warp warpID's random stream.
+func (s *Spec) warpSeed(warpID int) int64 {
+	return s.Seed*1_000_003 + int64(warpID)
 }
 
 func cumulativeWeights(sts []Structure) []float64 {
@@ -210,6 +215,7 @@ type warpProgram struct {
 	allocs   []gpurt.Allocation
 	cum      []float64
 	cumDrift []float64 // scratch for WeightDrift recomputation
+	weights  []float64 // drifted weights behind cumDrift, also scratch
 	rng      *rand.Rand
 	warpID   int
 	phase    int
@@ -217,8 +223,9 @@ type warpProgram struct {
 	addrs    []gpu.Access // Phase.Addrs buffer, reused every phase
 }
 
-func newWarpProgram(s *Spec, allocs []gpurt.Allocation, cum []float64, warpID int) *warpProgram {
-	rng := rand.New(rand.NewSource(s.Seed*1_000_003 + int64(warpID)))
+// newWarpProgram builds warp warpID's program drawing from rng, which must
+// produce the stream of rand.NewSource(s.warpSeed(warpID)).
+func newWarpProgram(s *Spec, allocs []gpurt.Allocation, cum []float64, warpID int, rng *rand.Rand) *warpProgram {
 	w := &warpProgram{spec: s, allocs: allocs, cum: cum, rng: rng, warpID: warpID}
 	w.gens = make([]offsetGen, len(s.Structures))
 	for i, st := range s.Structures {
@@ -274,16 +281,17 @@ func (w *warpProgram) updateDriftedWeights() {
 	n := len(w.spec.Structures)
 	progress := float64(w.phase-1) / float64(maxInt(w.spec.PhasesPerWarp-1, 1))
 	d := w.spec.WeightDrift * progress
-	weights := make([]float64, n)
+	if w.cumDrift == nil {
+		w.weights = make([]float64, n)
+		w.cumDrift = make([]float64, n)
+	}
+	weights := w.weights
 	total := 0.0
 	for i := range weights {
 		cur := w.spec.Structures[i].Weight
 		next := w.spec.Structures[(i+1)%n].Weight
 		weights[i] = (1-d)*cur + d*next
 		total += weights[i]
-	}
-	if w.cumDrift == nil {
-		w.cumDrift = make([]float64, n)
 	}
 	c := 0.0
 	for i, wt := range weights {
